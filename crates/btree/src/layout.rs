@@ -44,9 +44,10 @@
 //! path's golden counters were re-captured for format 2 via
 //! `scripts/recapture-goldens.sh`.
 
-use crate::key::{Entry, Key};
+use crate::key::{Entry, Key, MAX_ARITY};
 use ri_pagestore::codec::{get_i64, get_u16, get_u64, put_i64, put_u16, put_u64};
 use ri_pagestore::{Error, PageId, Result};
+use std::cmp::Ordering;
 
 /// Node type tag for leaves.
 pub const NODE_LEAF: u8 = 1;
@@ -176,7 +177,7 @@ pub enum Node {
 }
 
 fn read_entry(buf: &[u8], off: usize, arity: usize) -> Entry {
-    let mut cols = [0i64; crate::key::MAX_ARITY];
+    let mut cols = [0i64; MAX_ARITY];
     for (c, slot) in cols.iter_mut().enumerate().take(arity) {
         *slot = get_i64(buf, off + c * 8);
     }
@@ -212,9 +213,12 @@ fn write_header(buf: &mut [u8], tag: u8, arity: usize, count: usize, high: &Opti
     }
 }
 
-/// Decodes a node page.  `arity` must match the tree's arity.
-pub fn read_node(buf: &[u8], arity: usize) -> Result<Node> {
-    let tag = buf[OFF_TYPE];
+/// Checks the header fields every reader relies on — format version,
+/// arity, node tag, and an entry count that fits the page for that tag —
+/// and returns the tag and the count.  Shared by [`read_node`] and
+/// [`NodeView::new`], so no reader indexes past the page on a corrupt
+/// count.
+fn check_header(buf: &[u8], arity: usize) -> Result<(u8, usize)> {
     if buf[OFF_VERSION] != FORMAT_VERSION {
         return Err(Error::Corrupt(format!(
             "node format version {} (expected {FORMAT_VERSION}; pre-B-link pages are not readable)",
@@ -228,37 +232,206 @@ pub fn read_node(buf: &[u8], arity: usize) -> Result<Node> {
         )));
     }
     let count = get_u16(buf, OFF_COUNT) as usize;
-    match tag {
-        NODE_LEAF => {
-            let esz = leaf_entry_size(arity);
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                entries.push(read_entry(buf, HEADER_SIZE + i * esz, arity));
-            }
-            Ok(Node::Leaf(LeafNode {
-                entries,
-                next: PageId(get_u64(buf, OFF_LINK)),
-                high: read_high(buf, arity),
-            }))
+    let cap = match buf[OFF_TYPE] {
+        NODE_LEAF => leaf_capacity(buf.len(), arity),
+        NODE_INTERNAL => internal_capacity(buf.len(), arity),
+        other => return Err(Error::Corrupt(format!("unexpected node tag {other}"))),
+    };
+    if count > cap {
+        return Err(Error::Corrupt(format!("node entry count {count} exceeds capacity {cap}")));
+    }
+    Ok((buf[OFF_TYPE], count))
+}
+
+/// Decodes a node page into an owned node (the write path's and
+/// `check_invariants`' reader).  `arity` must match the tree's arity.
+pub fn read_node(buf: &[u8], arity: usize) -> Result<Node> {
+    let (tag, count) = check_header(buf, arity)?;
+    if tag == NODE_LEAF {
+        let esz = leaf_entry_size(arity);
+        let mut entries = Vec::with_capacity(count);
+        for i in 0..count {
+            entries.push(read_entry(buf, HEADER_SIZE + i * esz, arity));
         }
-        NODE_INTERNAL => {
-            let esz = internal_entry_size(arity);
-            let sep_sz = leaf_entry_size(arity);
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = HEADER_SIZE + i * esz;
-                let sep = read_entry(buf, off, arity);
-                let child = PageId(get_u64(buf, off + sep_sz));
-                entries.push((sep, child));
-            }
-            Ok(Node::Internal(InternalNode {
-                child0: PageId(get_u64(buf, OFF_LINK)),
-                entries,
-                next: PageId(get_u64(buf, OFF_INTERNAL_NEXT)),
-                high: read_high(buf, arity),
-            }))
+        Ok(Node::Leaf(LeafNode {
+            entries,
+            next: PageId(get_u64(buf, OFF_LINK)),
+            high: read_high(buf, arity),
+        }))
+    } else {
+        let esz = internal_entry_size(arity);
+        let sep_sz = leaf_entry_size(arity);
+        let mut entries = Vec::with_capacity(count);
+        for i in 0..count {
+            let off = HEADER_SIZE + i * esz;
+            let sep = read_entry(buf, off, arity);
+            let child = PageId(get_u64(buf, off + sep_sz));
+            entries.push((sep, child));
         }
-        other => Err(Error::Corrupt(format!("unexpected node tag {other}"))),
+        Ok(Node::Internal(InternalNode {
+            child0: PageId(get_u64(buf, OFF_LINK)),
+            entries,
+            next: PageId(get_u64(buf, OFF_INTERNAL_NEXT)),
+            high: read_high(buf, arity),
+        }))
+    }
+}
+
+/// Where a latch-free descent goes after routing through an internal
+/// node ([`NodeView::route`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The target lies at or past the high key: move right to this sibling.
+    Right(PageId),
+    /// The child whose subtree covers the target.
+    Down(PageId),
+}
+
+/// Outcome of scanning one leaf in place ([`NodeView::scan_leaf`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LeafStep {
+    /// The scan's start lies at or past the high key: move right to this
+    /// sibling (nothing was emitted).
+    Right(PageId),
+    /// The leaf's entries in range were emitted.  `cut` is `true` when an
+    /// entry above `hi` stopped the scan, so no later leaf can hold a
+    /// match; `next` is the leaf's right link.
+    Scanned {
+        /// Right link of the scanned leaf.
+        next: PageId,
+        /// An entry above `hi` ended the scan inside this leaf.
+        cut: bool,
+    },
+}
+
+/// A node page read in place: the header is checked once, and entries are
+/// compared and decoded straight from the page bytes, only as needed.
+/// This is the latch-free read path's reader (descents, scans,
+/// `contains`); writers and `check_invariants` decode owned nodes with
+/// [`read_node`].
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'a> {
+    buf: &'a [u8],
+    arity: usize,
+    tag: u8,
+    count: usize,
+}
+
+impl<'a> NodeView<'a> {
+    /// Checks the page header (as [`read_node`] does) and wraps the page.
+    pub fn new(buf: &'a [u8], arity: usize) -> Result<NodeView<'a>> {
+        let (tag, count) = check_header(buf, arity)?;
+        Ok(NodeView { buf, arity, tag, count })
+    }
+
+    /// `true` for a leaf, `false` for an internal node.
+    #[inline]
+    pub fn is_leaf(&self) -> bool {
+        self.tag == NODE_LEAF
+    }
+
+    /// The right link: the next leaf, or the right sibling of an internal
+    /// node; [`PageId::INVALID`] on the rightmost node of a level.
+    #[inline]
+    pub fn right_link(&self) -> PageId {
+        let off = if self.is_leaf() { OFF_LINK } else { OFF_INTERNAL_NEXT };
+        PageId(get_u64(self.buf, off))
+    }
+
+    /// `true` when `target` lies below the high key (as
+    /// [`LeafNode::covers`] / [`InternalNode::covers`]).
+    #[inline]
+    pub fn covers(&self, target: &Entry) -> bool {
+        self.buf[OFF_FLAGS] & FLAG_HIGH_KEY == 0
+            || self.cmp_at(self.buf.len() - leaf_entry_size(self.arity), target).is_gt()
+    }
+
+    /// Routes `target`: right past the high key, otherwise down into the
+    /// child covering it (as [`InternalNode::route`] +
+    /// [`InternalNode::child_at`]).  Call on internal nodes only.
+    pub fn route(&self, target: &Entry) -> Route {
+        debug_assert!(!self.is_leaf(), "routing through a leaf");
+        if !self.covers(target) {
+            return Route::Right(self.right_link());
+        }
+        // The number of separators <= target is the routing slot.
+        let slot = self.partition(|off| self.cmp_at(off, target).is_le());
+        Route::Down(if slot == 0 {
+            PageId(get_u64(self.buf, OFF_LINK))
+        } else {
+            let off = self.entry_off(slot - 1) + leaf_entry_size(self.arity);
+            PageId(get_u64(self.buf, off))
+        })
+    }
+
+    /// Appends to `out` the leaf's entries `>= from` (all of them when
+    /// `from` is `None`) whose key columns are `<= hi`, decoding only the
+    /// entries it emits.  With a `from`, a leaf that does not cover it
+    /// emits nothing and says to move right.  Call on leaves only.
+    pub fn scan_leaf(&self, from: Option<&Entry>, hi: &Key, out: &mut Vec<Entry>) -> LeafStep {
+        debug_assert!(self.is_leaf(), "leaf scan of an internal node");
+        let start = match from {
+            Some(target) if !self.covers(target) => return LeafStep::Right(self.right_link()),
+            Some(target) => self.partition(|off| self.cmp_at(off, target).is_lt()),
+            None => 0,
+        };
+        let arity = self.arity;
+        for i in start..self.count {
+            let off = self.entry_off(i);
+            let cols = self.key_at(off);
+            if cols[..arity] > *hi.as_slice() {
+                return LeafStep::Scanned { next: self.right_link(), cut: true };
+            }
+            let payload = get_u64(self.buf, off + arity * 8);
+            out.push(Entry { key: Key::new(&cols[..arity]), payload });
+        }
+        LeafStep::Scanned { next: self.right_link(), cut: false }
+    }
+
+    #[inline]
+    fn entry_off(&self, i: usize) -> usize {
+        let esz = if self.is_leaf() {
+            leaf_entry_size(self.arity)
+        } else {
+            internal_entry_size(self.arity)
+        };
+        HEADER_SIZE + i * esz
+    }
+
+    /// The key columns of the entry at byte offset `off`.
+    #[inline]
+    fn key_at(&self, off: usize) -> [i64; MAX_ARITY] {
+        let mut cols = [0i64; MAX_ARITY];
+        for (c, col) in cols.iter_mut().enumerate().take(self.arity) {
+            *col = get_i64(self.buf, off + c * 8);
+        }
+        cols
+    }
+
+    /// Compares the encoded entry (or separator) at byte offset `off`
+    /// with `target`: key columns first, then the payload.
+    #[inline]
+    fn cmp_at(&self, off: usize, target: &Entry) -> Ordering {
+        let cols = self.key_at(off);
+        cols[..self.arity]
+            .cmp(target.key.as_slice())
+            .then_with(|| get_u64(self.buf, off + self.arity * 8).cmp(&target.payload))
+    }
+
+    /// The number of leading entries satisfying `pred` (given each
+    /// entry's byte offset); `pred` must be monotone (true, then false).
+    #[inline]
+    fn partition(&self, pred: impl Fn(usize) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.entry_off(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -398,6 +571,49 @@ mod tests {
         buf[4] = 1; // format 1: pre-B-link
         let err = read_node(&buf, 2).unwrap_err();
         assert!(err.to_string().contains("format version 1"), "{err}");
+    }
+
+    /// A header whose count claims more entries than the page holds must
+    /// be rejected before any entry is read past the page.
+    fn with_oversized_count(tag_is_leaf: bool) -> Vec<u8> {
+        let mut buf = vec![0u8; 256];
+        if tag_is_leaf {
+            write_leaf(&mut buf, &LeafNode::empty(), 2);
+            put_u16(&mut buf, OFF_COUNT, (leaf_capacity(256, 2) + 1) as u16);
+        } else {
+            let node = InternalNode {
+                child0: PageId(1),
+                entries: Vec::new(),
+                next: PageId::INVALID,
+                high: None,
+            };
+            write_internal(&mut buf, &node, 2);
+            put_u16(&mut buf, OFF_COUNT, u16::MAX);
+        }
+        buf
+    }
+
+    #[test]
+    fn read_node_rejects_a_count_beyond_capacity() {
+        for leaf in [true, false] {
+            let err = read_node(&with_oversized_count(leaf), 2).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("exceeds capacity"), "{err}");
+        }
+    }
+
+    #[test]
+    fn node_view_rejects_a_count_beyond_capacity() {
+        for leaf in [true, false] {
+            let err = NodeView::new(&with_oversized_count(leaf), 2).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("exceeds capacity"), "{err}");
+        }
+        // A count of exactly the capacity is legal.
+        let mut buf = vec![0u8; 256];
+        write_leaf(&mut buf, &LeafNode::empty(), 2);
+        put_u16(&mut buf, OFF_COUNT, leaf_capacity(256, 2) as u16);
+        assert!(NodeView::new(&buf, 2).is_ok());
     }
 
     #[test]

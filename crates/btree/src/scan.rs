@@ -7,12 +7,15 @@ use ri_pagestore::{PageId, Result};
 /// Iterator over all entries whose key columns lie in `[lo, hi]`
 /// (inclusive, lexicographic).
 ///
-/// The cursor materializes one leaf at a time: the search phase costs
+/// The cursor reads one leaf per page access, on the page bytes: it
+/// binary-searches for `lo` in the first leaf, decodes only the entries it
+/// will yield into one reusable buffer, and stops at the first entry above
+/// `hi` without touching the next leaf.  The search phase costs
 /// `O(log_b n)` page accesses and the scan phase one access per leaf — the
 /// cost model of the paper's Theorem in Section 4.4.
 ///
-/// Cursors are **latch-free** (B-link protocol): each leaf is loaded as a
-/// copy-atomic snapshot and the cursor follows right links, so concurrent
+/// Cursors are **latch-free** (B-link protocol): each leaf is read in one
+/// copy-atomic page access and the cursor follows right links, so concurrent
 /// writers — including splits — proceed freely, and the owning thread may
 /// even write through the same tree while the cursor is live (the
 /// pre-B-link "no DML under an open cursor" rule is gone).  Guarantee:
@@ -24,16 +27,13 @@ use ri_pagestore::{PageId, Result};
 pub struct RangeScan<'t> {
     tree: &'t BTree,
     hi: Key,
-    state: State,
-}
-
-enum State {
-    /// Initialization failed; the error is yielded once, then `Done`.
-    Failed(Option<ri_pagestore::Error>),
-    /// Actively scanning `buf[idx..]`, then following `next`.
-    Active { buf: Vec<Entry>, idx: usize, next: PageId },
-    /// Scan exhausted.
-    Done,
+    /// The current leaf's entries in range, yielded from `idx` on.
+    buf: Vec<Entry>,
+    idx: usize,
+    /// The leaf to read once `buf` drains; invalid once the scan is done.
+    next: PageId,
+    /// A failed start, yielded once before the scan ends.
+    failed: Option<ri_pagestore::Error>,
 }
 
 impl<'t> RangeScan<'t> {
@@ -41,18 +41,16 @@ impl<'t> RangeScan<'t> {
         assert_eq!(lo.len(), tree.arity(), "lo bound arity mismatch");
         assert_eq!(hi.len(), tree.arity(), "hi bound arity mismatch");
         let hi = Key::new(hi);
-        // Position at the first entry >= (lo, payload 0): payloads are
+        // Start at the first entry >= (lo, payload 0): payloads are
         // unsigned, so payload 0 sorts before every entry with equal columns.
-        let target = Entry { key: Key::new(lo), payload: 0 };
-        let state = match tree.position_leaf(&target) {
-            Ok(Some((_, leaf))) => {
-                let idx = leaf.entries.partition_point(|e| e < &target);
-                State::Active { buf: leaf.entries, idx, next: leaf.next }
-            }
-            Ok(None) => State::Done,
-            Err(e) => State::Failed(Some(e)),
-        };
-        RangeScan { tree, hi, state }
+        let from = Entry { key: Key::new(lo), payload: 0 };
+        let buf = Vec::with_capacity(tree.leaf_cap);
+        let mut scan = RangeScan { tree, hi, buf, idx: 0, next: PageId::INVALID, failed: None };
+        match tree.scan_start(&from, &hi, &mut scan.buf) {
+            Ok(next) => scan.next = next,
+            Err(e) => scan.failed = Some(e),
+        }
+        scan
     }
 
     /// Drains the scan, panicking on I/O errors (test convenience).
@@ -65,41 +63,25 @@ impl Iterator for RangeScan<'_> {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match &mut self.state {
-                State::Failed(err) => {
-                    let e = err.take();
-                    self.state = State::Done;
-                    return e.map(Err);
-                }
-                State::Done => return None,
-                State::Active { buf, idx, next } => {
-                    if *idx < buf.len() {
-                        let entry = buf[*idx];
-                        *idx += 1;
-                        if entry.key > self.hi {
-                            self.state = State::Done;
-                            return None;
-                        }
-                        return Some(Ok(entry));
-                    }
-                    if next.is_invalid() {
-                        self.state = State::Done;
-                        return None;
-                    }
-                    match self.tree.load_leaf(*next) {
-                        Ok(leaf) => {
-                            self.state =
-                                State::Active { buf: leaf.entries, idx: 0, next: leaf.next };
-                        }
-                        Err(e) => {
-                            self.state = State::Done;
-                            return Some(Err(e));
-                        }
-                    }
+        if let Some(e) = self.failed.take() {
+            return Some(Err(e));
+        }
+        while self.idx == self.buf.len() {
+            if self.next.is_invalid() {
+                return None;
+            }
+            self.buf.clear();
+            self.idx = 0;
+            match self.tree.scan_leaf(self.next, None, &self.hi, &mut self.buf) {
+                Ok(next) => self.next = next,
+                Err(e) => {
+                    self.next = PageId::INVALID;
+                    return Some(Err(e));
                 }
             }
         }
+        self.idx += 1;
+        Some(Ok(self.buf[self.idx - 1]))
     }
 }
 
@@ -154,6 +136,31 @@ mod tests {
         let got: Vec<u64> = tree.scan_all().collect_payloads();
         assert_eq!(got.len(), 2000);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn an_entry_above_hi_ends_the_scan_without_reading_the_next_leaf() {
+        let (pool, tree) = tree_with(200);
+        let height = tree.stats().unwrap().height as u64;
+        assert!(height >= 2, "the scan must start below an internal node");
+        // The first leaf's entries, and the link to the second leaf.
+        let mut first = Vec::new();
+        let from = Entry::new(&[0], 0);
+        let next = tree.scan_start(&from, &Key::new(&[i64::MAX]), &mut first).unwrap();
+        assert!(first.len() >= 2 && !next.is_invalid());
+        let reads = |hi: i64| {
+            let before = pool.stats().snapshot();
+            let got = tree.scan_range(&[0], &[hi]).collect_payloads();
+            (got.len(), pool.stats().snapshot().since(&before).logical_reads)
+        };
+        // `hi` below the leaf's last entry: that entry cuts the scan, so
+        // only the meta page and the descent path are read.
+        let below_last = first[first.len() - 2].key.col(0);
+        assert_eq!(reads(below_last), (first.len() - 1, 1 + height));
+        // `hi` at the last entry: nothing in this leaf is above it, so the
+        // cursor must read the next leaf to see where the range ends.
+        let last = first[first.len() - 1].key.col(0);
+        assert_eq!(reads(last), (first.len(), 2 + height));
     }
 
     #[test]

@@ -81,8 +81,10 @@
 //! allocated (their fill is a device read of a zero page), so this is
 //! recorded as a bounded exposure rather than engineered away.
 
-use crate::key::Entry;
-use crate::layout::{self, internal_capacity, leaf_capacity, InternalNode, LeafNode, Node};
+use crate::key::{Entry, Key};
+use crate::layout::{
+    self, internal_capacity, leaf_capacity, InternalNode, LeafNode, LeafStep, Node, NodeView, Route,
+};
 use crate::scan::RangeScan;
 use ri_pagestore::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
 use ri_pagestore::{BufferPool, Error, LatchGuard, LatchManager, PageId, Result};
@@ -228,6 +230,9 @@ impl BTree {
         if magic != META_MAGIC {
             return Err(Error::Corrupt(format!("page {meta_page} is not a B+-tree meta page")));
         }
+        if arity == 0 || arity > crate::key::MAX_ARITY {
+            return Err(Error::Corrupt(format!("meta page {meta_page} records arity {arity}")));
+        }
         Ok(BTree::attach(pool, meta_page, arity))
     }
 
@@ -368,13 +373,28 @@ impl BTree {
         }
     }
 
-    fn read_internal(&self, page: PageId) -> Result<InternalNode> {
-        match self.read_any(page)? {
-            Node::Internal(n) => Ok(n),
-            Node::Leaf(_) => {
-                Err(Error::Corrupt(format!("expected internal node at {page}, found leaf")))
+    /// Runs `f` on the node at `page` read in place ([`NodeView`]),
+    /// after checking that it is a leaf (`leaf = true`) or an internal
+    /// node.  The one page access of every latch-free node visit.
+    fn with_node<T>(
+        &self,
+        page: PageId,
+        leaf: bool,
+        f: impl FnOnce(NodeView<'_>) -> T,
+    ) -> Result<T> {
+        let arity = self.arity;
+        self.pool.with_page(page, |buf| {
+            let node = NodeView::new(buf, arity)?;
+            match (leaf, node.is_leaf()) {
+                (true, false) => {
+                    Err(Error::Corrupt(format!("expected leaf at {page}, found internal node")))
+                }
+                (false, true) => {
+                    Err(Error::Corrupt(format!("expected internal node at {page}, found leaf")))
+                }
+                _ => Ok(f(node)),
             }
-        }
+        })?
     }
 
     pub(crate) fn store_leaf(&self, page: PageId, node: &LeafNode) -> Result<()> {
@@ -391,41 +411,47 @@ impl BTree {
     // Latch-free descent
     // ------------------------------------------------------------------
 
-    /// Descends from `meta.root` to the leaf level, routing toward
-    /// `target` and moving right past high keys.  Returns the leaf page
-    /// reached plus (when `stack` is wanted) the internal page routed
-    /// through at each level, shallowest first — the writer's hint stack
-    /// for separator posting.
-    ///
-    /// `meta` may be stale: `root` and `height` are written together, so
-    /// the pair is consistent, and a root that has since grown or split
-    /// still covers the key space through its right chain.
-    /// Latch-free move-right: reads the internal node at `page`, chasing
-    /// right links until the node covers `target`.  The single canonical
-    /// chase loop for unlatched internal traversals.
-    fn chase_internal(&self, mut page: PageId, target: &Entry) -> Result<(PageId, InternalNode)> {
+    /// Latch-free move-right: routes `target` through the internal node
+    /// at `page` on its page bytes, chasing right links until a node
+    /// covers `target`.  Returns that node and the child to descend into.
+    /// The single canonical chase loop for unlatched internal traversals.
+    fn chase_internal(&self, mut page: PageId, target: &Entry) -> Result<(PageId, PageId)> {
         loop {
-            let node = self.read_internal(page)?;
-            if node.covers(target) {
-                return Ok((page, node));
+            match self.with_node(page, false, |node| node.route(target))? {
+                Route::Down(child) => return Ok((page, child)),
+                Route::Right(next) => {
+                    debug_assert!(!next.is_invalid(), "missing high key implies no right move");
+                    self.latches().record_right_link_chase();
+                    page = next;
+                }
             }
-            debug_assert!(!node.next.is_invalid(), "missing high key implies no right move");
-            self.latches().record_right_link_chase();
-            page = node.next;
         }
     }
 
-    /// Latch-free move-right at the leaf level (the canonical unlatched
-    /// leaf chase).
-    fn chase_leaf(&self, mut page: PageId, target: &Entry) -> Result<(PageId, LeafNode)> {
+    /// Latch-free leaf step of a scan, on the page bytes: appends to `out`
+    /// the entries of the leaf at `page` that are `>= from` (all of them
+    /// when `from` is `None`) and whose key columns are `<= hi`.  With a
+    /// `from`, right links are chased until a leaf covers it — the
+    /// canonical unlatched leaf chase.  Returns the leaf to continue with,
+    /// or [`PageId::INVALID`] once an entry above `hi` or the end of the
+    /// chain finished the scan.
+    pub(crate) fn scan_leaf(
+        &self,
+        mut page: PageId,
+        from: Option<&Entry>,
+        hi: &Key,
+        out: &mut Vec<Entry>,
+    ) -> Result<PageId> {
         loop {
-            let leaf = self.read_leaf(page)?;
-            if leaf.covers(target) {
-                return Ok((page, leaf));
+            match self.with_node(page, true, |node| node.scan_leaf(from, hi, &mut *out))? {
+                LeafStep::Scanned { cut: true, .. } => return Ok(PageId::INVALID),
+                LeafStep::Scanned { next, cut: false } => return Ok(next),
+                LeafStep::Right(next) => {
+                    debug_assert!(!next.is_invalid(), "missing high key implies no right move");
+                    self.latches().record_right_link_chase();
+                    page = next;
+                }
             }
-            debug_assert!(!leaf.next.is_invalid(), "missing high key implies no right move");
-            self.latches().record_right_link_chase();
-            page = leaf.next;
         }
     }
 
@@ -458,6 +484,15 @@ impl BTree {
         }
     }
 
+    /// Descends from `meta.root` to the leaf level, routing toward
+    /// `target` and moving right past high keys.  Returns the leaf page
+    /// reached plus (when `stack` is wanted) the internal page routed
+    /// through at each level, shallowest first — the writer's hint stack
+    /// for separator posting.
+    ///
+    /// `meta` may be stale: `root` and `height` are written together, so
+    /// the pair is consistent, and a root that has since grown or split
+    /// still covers the key space through its right chain.
     fn descend(
         &self,
         meta: &Meta,
@@ -468,11 +503,11 @@ impl BTree {
         let mut stack =
             if want_stack { Vec::with_capacity(meta.height as usize) } else { Vec::new() };
         for _ in 2..=meta.height {
-            let (covering, node) = self.chase_internal(page, target)?;
+            let (covering, child) = self.chase_internal(page, target)?;
             if want_stack {
                 stack.push(covering);
             }
-            page = node.child_at(node.route(target));
+            page = child;
         }
         Ok((page, stack))
     }
@@ -492,12 +527,6 @@ impl BTree {
                 Err(Error::Corrupt(format!("expected leaf at {page}, found internal node")))
             }
         }
-    }
-
-    /// Locates and reads (latch-free) the leaf covering `target`.
-    fn find_leaf(&self, meta: &Meta, target: &Entry) -> Result<(PageId, LeafNode)> {
-        let (page, _) = self.descend(meta, target, false)?;
-        self.chase_leaf(page, target)
     }
 
     // ------------------------------------------------------------------
@@ -730,8 +759,7 @@ impl BTree {
         let mut page = meta.root;
         let mut level = meta.height;
         while level > left_level + 1 {
-            let (_, node) = self.chase_internal(page, &sep)?;
-            page = node.child_at(node.route(&sep));
+            page = self.chase_internal(page, &sep)?.1;
             level -= 1;
         }
         Ok(ParentSearch::At(page))
@@ -789,12 +817,11 @@ impl BTree {
     pub fn contains(&self, cols: &[i64], payload: u64) -> Result<bool> {
         self.check_arity(cols)?;
         let target = Entry::new(cols, payload);
-        let meta = self.read_meta()?;
-        if meta.root.is_invalid() {
-            return Ok(false);
-        }
-        let (_, leaf) = self.find_leaf(&meta, &target)?;
-        Ok(leaf.entries.binary_search(&target).is_ok())
+        // The covering leaf's entries from `target` up to its key: the
+        // first one is `target` exactly when it is stored.
+        let mut found = Vec::new();
+        self.scan_start(&target, &target.key, &mut found)?;
+        Ok(found.first() == Some(&target))
     }
 
     /// Ordered scan of all entries with `lo <= key columns <= hi`
@@ -813,18 +840,22 @@ impl BTree {
         RangeScan::new(self, &lo, &hi)
     }
 
-    /// Locates and loads the leaf holding the first entry `>= target`
-    /// (used by the scan cursor).  Latch-free, like every read path.
-    pub(crate) fn position_leaf(&self, target: &Entry) -> Result<Option<(PageId, LeafNode)>> {
+    /// Starts a scan (latch-free, like every read path): descends to the
+    /// leaf covering `from` and appends its entries in `[from, hi]` to
+    /// `out`.  Returns the leaf to continue with, as
+    /// [`BTree::scan_leaf`].
+    pub(crate) fn scan_start(
+        &self,
+        from: &Entry,
+        hi: &Key,
+        out: &mut Vec<Entry>,
+    ) -> Result<PageId> {
         let meta = self.read_meta()?;
         if meta.root.is_invalid() {
-            return Ok(None);
+            return Ok(PageId::INVALID);
         }
-        Ok(Some(self.find_leaf(&meta, target)?))
-    }
-
-    pub(crate) fn load_leaf(&self, page: PageId) -> Result<LeafNode> {
-        self.read_leaf(page)
+        let (page, _) = self.descend(&meta, from, false)?;
+        self.scan_leaf(page, Some(from), hi, out)
     }
 
     pub(crate) fn check_arity(&self, cols: &[i64]) -> Result<()> {

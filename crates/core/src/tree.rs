@@ -98,9 +98,44 @@ pub struct RiTree {
     lower_index: String,
     upper_index: String,
     table: Table,
+    /// Data-dictionary keys, built once so no query formats a string.
+    keys: ParamKeys,
     /// Optional Skeleton Index extension (paper Section 7): a materialized
     /// directory of non-empty backbone nodes used to prune query probes.
     skeleton: Option<crate::skeleton::SkeletonDirectory>,
+}
+
+/// The data-dictionary keys (`<name>.<key>`) one RI-tree keeps its
+/// parameters under (Section 5).
+struct ParamKeys {
+    offset: String,
+    left_root: String,
+    right_root: String,
+    minstep2: String,
+    /// Number of stored intervals ending at infinity.
+    n_inf: String,
+    /// Number of stored now-relative intervals.
+    n_now: String,
+    min_lower: String,
+    max_upper: String,
+    skeleton: String,
+}
+
+impl ParamKeys {
+    fn new(name: &str) -> ParamKeys {
+        let key = |k: &str| format!("{name}.{k}");
+        ParamKeys {
+            offset: key("offset"),
+            left_root: key("left_root"),
+            right_root: key("right_root"),
+            minstep2: key("minstep2"),
+            n_inf: key("n_inf"),
+            n_now: key("n_now"),
+            min_lower: key("min_lower"),
+            max_upper: key("max_upper"),
+            skeleton: key("skeleton"),
+        }
+    }
 }
 
 /// Creation options for [`RiTree::create_with_options`].
@@ -153,9 +188,10 @@ impl RiTree {
             lower_index,
             upper_index,
             table,
+            keys: ParamKeys::new(name),
             skeleton,
         };
-        tree.db.set_param(&tree.param("skeleton"), opts.skeleton as i64)?;
+        tree.db.set_param(&tree.keys.skeleton, opts.skeleton as i64)?;
         tree.save_params(&BackboneParams::new())?;
         Ok(tree)
     }
@@ -238,15 +274,16 @@ impl RiTree {
             lower_index,
             upper_index,
             table,
+            keys: ParamKeys::new(name),
             skeleton,
         };
-        tree.db.set_param(&tree.param("skeleton"), opts.skeleton as i64)?;
+        tree.db.set_param(&tree.keys.skeleton, opts.skeleton as i64)?;
         tree.save_params(&p)?;
         if let Some(v) = min_lower {
-            tree.db.set_param(&tree.param("min_lower"), v)?;
+            tree.db.set_param(&tree.keys.min_lower, v)?;
         }
         if let Some(v) = max_upper {
-            tree.db.set_param(&tree.param("max_upper"), v)?;
+            tree.db.set_param(&tree.keys.max_upper, v)?;
         }
         Ok(tree)
     }
@@ -260,8 +297,8 @@ impl RiTree {
         let table = db.table(&table_name)?; // errors if absent
         table.index(&lower_index)?;
         table.index(&upper_index)?;
-        let has_skeleton = db.get_param(&format!("{name}.skeleton")) == Some(1);
-        let skeleton = if has_skeleton {
+        let keys = ParamKeys::new(name);
+        let skeleton = if db.get_param(&keys.skeleton) == Some(1) {
             Some(crate::skeleton::SkeletonDirectory::open(Arc::clone(&db), name)?)
         } else {
             None
@@ -273,6 +310,7 @@ impl RiTree {
             lower_index,
             upper_index,
             table,
+            keys,
             skeleton,
         })
     }
@@ -296,42 +334,50 @@ impl RiTree {
     // Parameter dictionary (Section 5)
     // ------------------------------------------------------------------
 
-    fn param(&self, key: &str) -> String {
-        format!("{}.{key}", self.name)
-    }
-
     /// Loads the backbone parameters from the data dictionary.
     pub fn load_params(&self) -> Result<BackboneParams> {
-        Ok(BackboneParams {
-            offset: self.db.get_param(&self.param("offset")),
-            left_root: self.db.get_param(&self.param("left_root")).unwrap_or(0),
-            right_root: self.db.get_param(&self.param("right_root")).unwrap_or(0),
-            minstep2: self.db.get_param(&self.param("minstep2")).unwrap_or(i64::MAX),
-        })
+        Ok(self.plan_params().0)
+    }
+
+    /// What a query plan reads from the data dictionary, under one
+    /// catalog read: the backbone parameters and the numbers of stored
+    /// intervals ending at infinity and at *now*.
+    fn plan_params(&self) -> (BackboneParams, i64, i64) {
+        let k = &self.keys;
+        let [offset, left_root, right_root, minstep2, n_inf, n_now] = self.db.get_params(&[
+            &k.offset,
+            &k.left_root,
+            &k.right_root,
+            &k.minstep2,
+            &k.n_inf,
+            &k.n_now,
+        ]);
+        let p = BackboneParams {
+            offset,
+            left_root: left_root.unwrap_or(0),
+            right_root: right_root.unwrap_or(0),
+            minstep2: minstep2.unwrap_or(i64::MAX),
+        };
+        (p, n_inf.unwrap_or(0), n_now.unwrap_or(0))
     }
 
     fn save_params(&self, p: &BackboneParams) -> Result<()> {
-        let mut entries: Vec<(String, i64)> = vec![
-            (self.param("left_root"), p.left_root),
-            (self.param("right_root"), p.right_root),
-            (self.param("minstep2"), p.minstep2),
+        let k = &self.keys;
+        let mut entries: Vec<(&str, i64)> = vec![
+            (&k.left_root, p.left_root),
+            (&k.right_root, p.right_root),
+            (&k.minstep2, p.minstep2),
         ];
         if let Some(off) = p.offset {
-            entries.push((self.param("offset"), off));
+            entries.push((&k.offset, off));
         }
-        let borrowed: Vec<(&str, i64)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        self.db.set_params(&borrowed)
+        self.db.set_params(&entries)
     }
 
     fn bump_counter(&self, key: &str, delta: i64) -> Result<()> {
         let _guard = self.db.param_guard();
-        let k = self.param(key);
-        let v = self.db.get_param(&k).unwrap_or(0) + delta;
-        self.db.set_param(&k, v)
-    }
-
-    fn counter(&self, key: &str) -> i64 {
-        self.db.get_param(&self.param(key)).unwrap_or(0)
+        let v = self.db.get_param(key).unwrap_or(0) + delta;
+        self.db.set_param(key, v)
     }
 
     // ------------------------------------------------------------------
@@ -386,19 +432,19 @@ impl RiTree {
     /// no-improvement case latch-free, the latched retest makes the
     /// read-modify-write atomic against concurrent writers.
     fn track_bounds(&self, lower: i64, upper: Option<i64>) -> Result<()> {
-        let kl = self.param("min_lower");
-        if self.db.get_param(&kl).is_none_or(|v| lower < v) {
+        let kl = &self.keys.min_lower;
+        if self.db.get_param(kl).is_none_or(|v| lower < v) {
             let _guard = self.db.param_guard();
-            if self.db.get_param(&kl).is_none_or(|v| lower < v) {
-                self.db.set_param(&kl, lower)?;
+            if self.db.get_param(kl).is_none_or(|v| lower < v) {
+                self.db.set_param(kl, lower)?;
             }
         }
         if let Some(u) = upper {
-            let ku = self.param("max_upper");
-            if self.db.get_param(&ku).is_none_or(|v| u > v) {
+            let ku = &self.keys.max_upper;
+            if self.db.get_param(ku).is_none_or(|v| u > v) {
                 let _guard = self.db.param_guard();
-                if self.db.get_param(&ku).is_none_or(|v| u > v) {
-                    self.db.set_param(&ku, u)?;
+                if self.db.get_param(ku).is_none_or(|v| u > v) {
+                    self.db.set_param(ku, u)?;
                 }
             }
         }
@@ -519,8 +565,8 @@ impl RiTree {
     /// backbone parameter changes.
     pub fn insert_open(&self, lower: i64, end: OpenEnd, id: i64) -> Result<()> {
         let (node, upper, counter) = match end {
-            OpenEnd::Infinity => (FORK_INF, UPPER_INF, "n_inf"),
-            OpenEnd::Now => (FORK_NOW, UPPER_NOW, "n_now"),
+            OpenEnd::Infinity => (FORK_INF, UPPER_INF, &self.keys.n_inf),
+            OpenEnd::Now => (FORK_NOW, UPPER_NOW, &self.keys.n_now),
         };
         self.table.insert(&[node, lower, upper, id])?;
         self.bump_counter(counter, 1)?;
@@ -543,8 +589,8 @@ impl RiTree {
     /// Deletes an open-ended interval inserted with [`RiTree::insert_open`].
     pub fn delete_open(&self, lower: i64, end: OpenEnd, id: i64) -> Result<bool> {
         let (node, counter) = match end {
-            OpenEnd::Infinity => (FORK_INF, "n_inf"),
-            OpenEnd::Now => (FORK_NOW, "n_now"),
+            OpenEnd::Infinity => (FORK_INF, &self.keys.n_inf),
+            OpenEnd::Now => (FORK_NOW, &self.keys.n_now),
         };
         let deleted = self.delete_exact(node, lower, None, id)?;
         if deleted {
@@ -629,7 +675,7 @@ impl RiTree {
     /// `now` resolves now-relative intervals (Section 4.6); pass anything
     /// when the tree holds none.
     pub fn intersection_plan(&self, q: Interval, now: i64) -> Result<Plan> {
-        let p = self.load_params()?;
+        let (p, n_inf, n_now) = self.plan_params();
         let mut nodes = p.query_nodes(q.lower, q.upper);
         if let Some(dir) = &self.skeleton {
             // Skeleton Index extension: drop transient entries whose node
@@ -643,18 +689,38 @@ impl RiTree {
             nodes.right = right;
         }
         let left_rows: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
-        let mut right_rows: Vec<Row> = nodes.right.iter().map(|&w| vec![w]).collect();
-        // Temporal sentinels: fork∞ always participates; fork_now exactly
-        // if the query begins in the past (Section 4.6).  To keep the I/O
-        // counts of the non-temporal experiments exact, the sentinels are
-        // only added when open intervals actually exist.
-        if self.counter("n_inf") > 0 {
-            right_rows.push(vec![FORK_INF]);
+        let right_rows = Self::right_rows(&nodes.right, n_inf, n_now, q, now);
+        Ok(Plan::UnionAll(self.two_fold(q, left_rows, 1, right_rows)))
+    }
+
+    /// The `rightNodes` rows: the backbone's right-path nodes plus the
+    /// temporal sentinels (Section 4.6).  fork∞ always participates and
+    /// fork_now exactly if the query begins in the past, but to keep the
+    /// I/O counts of the non-temporal experiments exact, each sentinel is
+    /// only added when open intervals of its kind are stored.
+    fn right_rows(right: &[i64], n_inf: i64, n_now: i64, q: Interval, now: i64) -> Vec<Row> {
+        let mut rows: Vec<Row> = right.iter().map(|&w| vec![w]).collect();
+        if n_inf > 0 {
+            rows.push(vec![FORK_INF]);
         }
-        if self.counter("n_now") > 0 && q.lower <= now {
-            right_rows.push(vec![FORK_NOW]);
+        if n_now > 0 && q.lower <= now {
+            rows.push(vec![FORK_NOW]);
         }
-        Ok(Plan::UnionAll(vec![
+        rows
+    }
+
+    /// The two nested-loops branches of Figure 9:
+    /// `leftNodes ⋈ upperIndex` and `rightNodes ⋈ lowerIndex`.  A
+    /// `leftNodes` row holds its node range's minimum in column 0 and its
+    /// maximum in column `left_max`.
+    fn two_fold(
+        &self,
+        q: Interval,
+        left_rows: Vec<Row>,
+        left_max: usize,
+        right_rows: Vec<Row>,
+    ) -> Vec<Plan> {
+        vec![
             Plan::NestedLoops {
                 outer: Box::new(Plan::CollectionIterator {
                     name: "LEFT_NODES".into(),
@@ -665,7 +731,7 @@ impl RiTree {
                     table: self.table_name.clone(),
                     index: self.upper_index.clone(),
                     lo: vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
+                    hi: vec![BoundExpr::Outer(left_max), BoundExpr::PosInf, BoundExpr::PosInf],
                 }),
             },
             Plan::NestedLoops {
@@ -681,7 +747,7 @@ impl RiTree {
                     hi: vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
                 }),
             },
-        ]))
+        ]
     }
 
     /// The *preliminary* three-fold plan of Figure 8, before the
@@ -691,46 +757,15 @@ impl RiTree {
     /// [`RiTree::intersection_plan`]; kept as an ablation target for the
     /// two-fold optimization.
     pub fn intersection_plan_fig8(&self, q: Interval, now: i64) -> Result<Plan> {
-        let p = self.load_params()?;
+        let (p, n_inf, n_now) = self.plan_params();
         let nodes = p.query_nodes(q.lower, q.upper);
         // Strip the Section 4.3 range pair back off: left side becomes the
         // exact node list again, the BETWEEN condition becomes its own
         // branch.
         let left_rows: Vec<Row> =
             nodes.left.iter().filter(|(a, b)| a == b).map(|&(w, _)| vec![w]).collect();
-        let mut right_rows: Vec<Row> = nodes.right.iter().map(|&w| vec![w]).collect();
-        if self.counter("n_inf") > 0 {
-            right_rows.push(vec![FORK_INF]);
-        }
-        if self.counter("n_now") > 0 && q.lower <= now {
-            right_rows.push(vec![FORK_NOW]);
-        }
-        let mut branches = vec![
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "LEFT_NODES".into(),
-                    rows: left_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.upper_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            },
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "RIGHT_NODES".into(),
-                    rows: right_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.lower_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
-                }),
-            },
-        ];
+        let right_rows = Self::right_rows(&nodes.right, n_inf, n_now, q, now);
+        let mut branches = self.two_fold(q, left_rows, 0, right_rows);
         if let (Some(l), Some(u)) = (p.shift(q.lower), p.shift(q.upper)) {
             // i.node BETWEEN :lower − offset AND :upper − offset.
             branches.push(Plan::IndexRangeScan {
@@ -747,62 +782,32 @@ impl RiTree {
     /// disabled (`minstep` treated as 1): descents always reach the leaf
     /// level.  Ablation target for the `minstep` optimization.
     pub fn intersection_plan_unpruned(&self, q: Interval, now: i64) -> Result<Plan> {
-        let mut p = self.load_params()?;
+        let (mut p, n_inf, n_now) = self.plan_params();
         if p.offset.is_some() {
             p.minstep2 = 1;
         }
         let nodes = p.query_nodes(q.lower, q.upper);
         let left_rows: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
-        let mut right_rows: Vec<Row> = nodes.right.iter().map(|&w| vec![w]).collect();
-        if self.counter("n_inf") > 0 {
-            right_rows.push(vec![FORK_INF]);
-        }
-        if self.counter("n_now") > 0 && q.lower <= now {
-            right_rows.push(vec![FORK_NOW]);
-        }
-        Ok(Plan::UnionAll(vec![
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "LEFT_NODES".into(),
-                    rows: left_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.upper_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            },
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "RIGHT_NODES".into(),
-                    rows: right_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.lower_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
-                }),
-            },
-        ]))
+        let right_rows = Self::right_rows(&nodes.right, n_inf, n_now, q, now);
+        Ok(Plan::UnionAll(self.two_fold(q, left_rows, 1, right_rows)))
     }
 
-    /// Extracts the `id` column (position 2 in every id-plan's output
-    /// rows: `node, lower-or-upper, id, rowid`) sorted ascending — the one
-    /// place that knows the result-row layout.
-    fn rows_to_ids(rows: &[Row]) -> Vec<i64> {
-        let mut ids: Vec<i64> = rows.iter().map(|r| r[2]).collect();
+    /// Executes an id plan — result rows `node, lower-or-upper, id,
+    /// rowid`, the one place that knows this layout — pushing each row's
+    /// `id` straight into the result, which is returned sorted ascending.
+    fn execute_ids(&self, plan: &Plan, stats: &mut ExecStats) -> Result<Vec<i64>> {
+        let mut ids = Vec::new();
+        self.db.execute_with(plan, stats, |row| ids.push(row[2]))?;
         ids.sort_unstable();
-        ids
+        Ok(ids)
     }
 
     /// Executes an arbitrary plan built by one of the plan constructors and
     /// extracts sorted result ids (used by the ablation benchmarks).
     pub fn execute_id_plan(&self, plan: &Plan) -> Result<(Vec<i64>, ExecStats)> {
         let mut stats = ExecStats::default();
-        let rows = self.db.execute(plan, &mut stats)?;
-        Ok((Self::rows_to_ids(&rows), stats))
+        let ids = self.execute_ids(plan, &mut stats)?;
+        Ok((ids, stats))
     }
 
     /// Reports the ids of all stored intervals intersecting `q`, treating
@@ -824,9 +829,7 @@ impl RiTree {
     /// Intersection query returning executor statistics alongside the ids.
     pub fn intersection_with_stats(&self, q: Interval, now: i64) -> Result<(Vec<i64>, ExecStats)> {
         let plan = self.intersection_plan(q, now)?;
-        let mut stats = ExecStats::default();
-        let rows = self.db.execute(&plan, &mut stats)?;
-        let ids = Self::rows_to_ids(&rows);
+        let (ids, stats) = self.execute_id_plan(&plan)?;
         debug_assert!(
             ids.windows(2).all(|w| w[0] != w[1]),
             "intersection branches must be disjoint (Section 4.2)"
@@ -841,8 +844,8 @@ impl RiTree {
     }
 
     /// Answers a batch of intersection queries concurrently, fanning the
-    /// batch over at most `threads` worker threads via
-    /// [`Database::execute_parallel`].
+    /// batch over at most `threads` worker threads with
+    /// [`ri_relstore::fan_out`].
     ///
     /// Results are returned in query order and, on a quiescent tree, are
     /// identical to calling [`RiTree::intersection`] once per query: plan
@@ -870,8 +873,11 @@ impl RiTree {
             .iter()
             .map(|&q| self.intersection_plan(q, now))
             .collect::<Result<Vec<Plan>>>()?;
-        let results = self.db.execute_parallel(&plans, threads)?;
-        Ok(results.into_iter().map(|(rows, _)| Self::rows_to_ids(&rows)).collect())
+        ri_relstore::fan_out(&plans, threads, |plan| {
+            self.execute_ids(plan, &mut ExecStats::default())
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Renders the Figure 10 execution plan for `q`.
@@ -934,36 +940,38 @@ impl RiTree {
         let nodes = p.query_nodes(q.lower, q.upper);
         let mut ranges: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
         ranges.extend(nodes.right.iter().map(|&w| vec![w, w]));
-        let scan = |index: &str| -> Result<Vec<Row>> {
-            let plan = Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "SPAN_NODES".into(),
-                    rows: ranges.clone(),
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: index.to_string(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            };
-            self.db.execute(&plan, &mut ExecStats::default())
+        let mut plan = Plan::NestedLoops {
+            outer: Box::new(Plan::CollectionIterator { name: "SPAN_NODES".into(), rows: ranges }),
+            inner: Box::new(Plan::IndexRangeScan {
+                table: self.table_name.clone(),
+                index: self.lower_index.clone(),
+                lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
+                hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
+            }),
         };
-        let lowers = scan(&self.lower_index)?;
-        let uppers = scan(&self.upper_index)?;
-        let mut upper_of: std::collections::HashMap<(i64, i64), i64> =
-            std::collections::HashMap::with_capacity(uppers.len());
-        for r in &uppers {
-            upper_of.insert((r[0], r[2]), r[1]);
+        let mut stats = ExecStats::default();
+        // The lower index is read first, as `(node, lower, id)` probes for
+        // the join; the upper index then streams into `(node, id) → upper`.
+        let mut lowers: Vec<[i64; 3]> = Vec::new();
+        self.db.execute_with(&plan, &mut stats, |r| lowers.push([r[0], r[1], r[2]]))?;
+        if let Plan::NestedLoops { inner, .. } = &mut plan {
+            if let Plan::IndexRangeScan { index, .. } = inner.as_mut() {
+                index.clone_from(&self.upper_index);
+            }
         }
+        let mut upper_of: std::collections::HashMap<(i64, i64), i64> =
+            std::collections::HashMap::with_capacity(lowers.len());
+        self.db.execute_with(&plan, &mut stats, |r| {
+            upper_of.insert((r[0], r[2]), r[1]);
+        })?;
         let mut out = Vec::with_capacity(lowers.len());
-        for r in &lowers {
-            let Some(&upper) = upper_of.get(&(r[0], r[2])) else { continue };
+        for [node, lower, id] in lowers {
+            let Some(&upper) = upper_of.get(&(node, id)) else { continue };
             if upper >= UPPER_NOW {
                 continue;
             }
-            if r[1] <= q.upper && q.lower <= upper {
-                out.push((Interval { lower: r[1], upper }, r[2]));
+            if lower <= q.upper && q.lower <= upper {
+                out.push((Interval { lower, upper }, id));
             }
         }
         Ok(out)
@@ -971,18 +979,19 @@ impl RiTree {
 
     /// Whether any open-ended (`now`/∞) intervals are currently stored.
     pub fn has_open_intervals(&self) -> bool {
-        self.counter("n_inf") > 0 || self.counter("n_now") > 0
+        let (_, n_inf, n_now) = self.plan_params();
+        n_inf > 0 || n_now > 0
     }
 
     /// Smallest stored lower bound (tracked for the one-sided Allen
     /// queries); `None` while empty.
     pub fn min_lower(&self) -> Option<i64> {
-        self.db.get_param(&self.param("min_lower"))
+        self.db.get_param(&self.keys.min_lower)
     }
 
     /// Largest stored finite upper bound; `None` while empty.
     pub fn max_upper(&self) -> Option<i64> {
-        self.db.get_param(&self.param("max_upper"))
+        self.db.get_param(&self.keys.max_upper)
     }
 }
 

@@ -327,7 +327,15 @@ impl Database {
 
     /// Reads a named persistent parameter.
     pub fn get_param(&self, name: &str) -> Option<i64> {
-        self.catalog.read().params.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        let [value] = self.get_params(&[name]);
+        value
+    }
+
+    /// Reads several named parameters under one catalog read, so the
+    /// values are mutually consistent; each is `None` when unset.
+    pub fn get_params<const N: usize>(&self, names: &[&str; N]) -> [Option<i64>; N] {
+        let cat = self.catalog.read();
+        names.map(|name| cat.params.iter().find(|(n, _)| n == name).map(|(_, v)| *v))
     }
 
     /// Removes a named parameter; returns whether it existed.
@@ -616,6 +624,8 @@ mod tests {
         db.set_param("x", 1).unwrap();
         db.set_param("x", 2).unwrap();
         assert_eq!(db.get_param("x"), Some(2));
+        db.set_param("y", -3).unwrap();
+        assert_eq!(db.get_params(&["y", "none", "x"]), [Some(-3), None, Some(2)]);
         assert!(db.unset_param("x").unwrap());
         assert!(!db.unset_param("x").unwrap());
         assert_eq!(db.get_param("x"), None);

@@ -6,15 +6,21 @@
 //! outer row, `NESTED LOOPS`, and `UNION-ALL`; plus `FILTER` and
 //! `TABLE ACCESS FULL` which the competitor methods need.
 //!
-//! Execution is materializing (each operator produces its full row vector):
-//! with result sets of at most a few percent of the database this is
-//! faithful to the paper's cost profile, which is dominated by index I/O.
+//! Execution is push-based: [`Database::execute_with`] first binds the
+//! plan to its handles — every index and heap it names is opened once, in
+//! plan order — and then streams rows through the operators into a sink
+//! as `&[i64]` slices.  An index scan builds each row in a stack buffer
+//! from the entry the B-link cursor decoded in place, so no operator
+//! allocates per row.  `NESTED LOOPS` drains its outer input into one
+//! flat buffer before running the inner plan, which keeps the order of
+//! page accesses that of evaluating the outer side first.
+//! [`Database::execute`] collects the stream into owned rows; the RI-tree
+//! keeps only the id column.
 
 use crate::catalog::Database;
 use crate::heap::Heap;
-use ri_btree::BTree;
+use ri_btree::{BTree, MAX_ARITY};
 use ri_pagestore::{Error, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A materialized row of `i64` values.
@@ -38,7 +44,7 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    fn eval(&self, outer: Option<&Row>) -> Result<i64> {
+    fn eval(&self, outer: Option<&[i64]>) -> Result<i64> {
         match *self {
             BoundExpr::Const(v) => Ok(v),
             BoundExpr::NegInf => Ok(i64::MIN),
@@ -110,7 +116,7 @@ pub enum Predicate {
 
 impl Predicate {
     /// Evaluates the predicate against a row.
-    pub fn matches(&self, row: &Row) -> bool {
+    pub fn matches(&self, row: &[i64]) -> bool {
         match self {
             Predicate::True => true,
             Predicate::CmpConst { col, op, value } => cmp(row[*col], *op, *value),
@@ -207,126 +213,184 @@ pub struct ExecStats {
     pub index_searches: u64,
 }
 
-struct ExecCtx<'a> {
-    db: &'a Database,
-    trees: HashMap<(String, String), (BTree, usize)>, // (table, index) -> (tree, arity)
-    heaps: HashMap<String, Heap>,
+/// A plan bound to the handles it runs on, as compiled by
+/// [`Exec::bind`]: scans refer to their opened tree or heap by slot, so
+/// running a scan resolves nothing by name.
+enum Op<'p> {
+    Collection(&'p [Row]),
+    IndexScan { tree: usize, index: &'p str, lo: &'p [BoundExpr], hi: &'p [BoundExpr] },
+    NestedLoops(Box<Op<'p>>, Box<Op<'p>>),
+    UnionAll(Vec<Op<'p>>),
+    Filter(Box<Op<'p>>, &'p Predicate),
+    Project(Box<Op<'p>>, &'p [usize]),
+    TableScan(usize),
 }
 
-impl ExecCtx<'_> {
-    fn prepare(&mut self, plan: &Plan) -> Result<()> {
-        match plan {
-            Plan::IndexRangeScan { table, index, .. } => {
-                let key = (table.clone(), index.clone());
-                if !self.trees.contains_key(&key) {
-                    let meta = self.db.index_meta(table, index)?;
-                    let tree = BTree::open(Arc::clone(self.db.pool()), meta.btree_meta)?;
-                    let arity = tree.arity();
-                    self.trees.insert(key, (tree, arity));
-                }
-                Ok(())
-            }
-            Plan::TableScan { table } => {
-                if !self.heaps.contains_key(table) {
-                    let meta = self.db.table_meta(table)?;
-                    let heap = Heap::open(Arc::clone(self.db.pool()), meta.heap_meta)?;
-                    self.heaps.insert(table.clone(), heap);
-                }
-                Ok(())
+/// The handles one execution runs on, each opened once.
+struct Exec<'p> {
+    trees: Vec<(&'p str, &'p str, BTree)>,
+    heaps: Vec<(&'p str, Heap)>,
+}
+
+impl<'p> Exec<'p> {
+    /// Opens every index and heap `plan` names — in plan order, once per
+    /// distinct name — and compiles `plan` into the operator tree.
+    fn bind(&mut self, db: &Database, plan: &'p Plan) -> Result<Op<'p>> {
+        Ok(match plan {
+            Plan::CollectionIterator { rows, .. } => Op::Collection(rows),
+            Plan::IndexRangeScan { table, index, lo, hi } => {
+                let found = self.trees.iter().position(|(t, i, _)| t == table && i == index);
+                let tree = match found {
+                    Some(slot) => slot,
+                    None => {
+                        let meta = db.index_meta(table, index)?;
+                        let tree = BTree::open(Arc::clone(db.pool()), meta.btree_meta)?;
+                        self.trees.push((table, index, tree));
+                        self.trees.len() - 1
+                    }
+                };
+                Op::IndexScan { tree, index, lo, hi }
             }
             Plan::NestedLoops { outer, inner } => {
-                self.prepare(outer)?;
-                self.prepare(inner)
+                let outer = self.bind(db, outer)?;
+                Op::NestedLoops(Box::new(outer), Box::new(self.bind(db, inner)?))
             }
-            Plan::UnionAll(inputs) => inputs.iter().try_for_each(|p| self.prepare(p)),
-            Plan::Filter { input, .. } | Plan::Project { input, .. } => self.prepare(input),
-            Plan::CollectionIterator { .. } => Ok(()),
-        }
+            Plan::UnionAll(inputs) => {
+                Op::UnionAll(inputs.iter().map(|p| self.bind(db, p)).collect::<Result<_>>()?)
+            }
+            Plan::Filter { input, pred } => Op::Filter(Box::new(self.bind(db, input)?), pred),
+            Plan::Project { input, cols } => Op::Project(Box::new(self.bind(db, input)?), cols),
+            Plan::TableScan { table } => {
+                let heap = match self.heaps.iter().position(|(t, _)| t == table) {
+                    Some(slot) => slot,
+                    None => {
+                        let meta = db.table_meta(table)?;
+                        let heap = Heap::open(Arc::clone(db.pool()), meta.heap_meta)?;
+                        self.heaps.push((table, heap));
+                        self.heaps.len() - 1
+                    }
+                };
+                Op::TableScan(heap)
+            }
+        })
     }
 
-    fn eval(
+    /// Runs `op`, handing each output row to `sink`.  `outer` is the
+    /// current outer row of the enclosing nested-loops join, if any.
+    fn run(
         &self,
-        plan: &Plan,
-        outer: Option<&Row>,
+        op: &Op<'p>,
+        outer: Option<&[i64]>,
         stats: &mut ExecStats,
-        out: &mut Vec<Row>,
+        sink: &mut dyn FnMut(&[i64]),
     ) -> Result<()> {
-        match plan {
-            Plan::CollectionIterator { rows, .. } => {
-                stats.rows_examined += rows.len() as u64;
-                out.extend(rows.iter().cloned());
-                Ok(())
+        match op {
+            Op::Collection(rows) => {
+                for row in *rows {
+                    stats.rows_examined += 1;
+                    sink(row);
+                }
             }
-            Plan::IndexRangeScan { table, index, lo, hi } => {
-                let (tree, arity) = self
-                    .trees
-                    .get(&(table.clone(), index.clone()))
-                    .expect("prepare() opened every index");
-                if lo.len() != *arity || hi.len() != *arity {
+            Op::IndexScan { tree, index, lo, hi } => {
+                let tree = &self.trees[*tree].2;
+                let arity = tree.arity();
+                if lo.len() != arity || hi.len() != arity {
                     return Err(Error::InvalidArgument(format!(
                         "scan bounds have {}..{} columns, index {index} expects {arity}",
                         lo.len(),
                         hi.len()
                     )));
                 }
-                let lo_vals = lo.iter().map(|b| b.eval(outer)).collect::<Result<Vec<i64>>>()?;
-                let hi_vals = hi.iter().map(|b| b.eval(outer)).collect::<Result<Vec<i64>>>()?;
+                let mut lo_vals = [0i64; MAX_ARITY];
+                for (v, b) in lo_vals.iter_mut().zip(lo.iter()) {
+                    *v = b.eval(outer)?;
+                }
+                let mut hi_vals = [0i64; MAX_ARITY];
+                for (v, b) in hi_vals.iter_mut().zip(hi.iter()) {
+                    *v = b.eval(outer)?;
+                }
                 stats.index_searches += 1;
-                for entry in tree.scan_range(&lo_vals, &hi_vals) {
+                let mut row = [0i64; MAX_ARITY + 1];
+                for entry in tree.scan_range(&lo_vals[..arity], &hi_vals[..arity]) {
                     let entry = entry?;
-                    let mut row: Row = entry.key.as_slice().to_vec();
-                    row.push(entry.payload as i64);
+                    row[..arity].copy_from_slice(entry.key.as_slice());
+                    row[arity] = entry.payload as i64;
                     stats.rows_examined += 1;
-                    out.push(row);
+                    sink(&row[..=arity]);
                 }
-                Ok(())
             }
-            Plan::NestedLoops { outer: o, inner } => {
-                let mut outer_rows = Vec::new();
-                self.eval(o, outer, stats, &mut outer_rows)?;
-                for orow in &outer_rows {
-                    self.eval(inner, Some(orow), stats, out)?;
+            Op::NestedLoops(o, inner) => {
+                // Drain the outer side first (rows laid end to end), then
+                // bind each of its rows into the inner plan.
+                let (mut vals, mut ends) = (Vec::new(), Vec::new());
+                self.run(o, outer, stats, &mut |r| {
+                    vals.extend_from_slice(r);
+                    ends.push(vals.len());
+                })?;
+                let mut start = 0;
+                for end in ends {
+                    self.run(inner, Some(&vals[start..end]), stats, sink)?;
+                    start = end;
                 }
-                Ok(())
             }
-            Plan::UnionAll(inputs) => {
-                for p in inputs {
-                    self.eval(p, outer, stats, out)?;
+            Op::UnionAll(inputs) => {
+                for input in inputs {
+                    self.run(input, outer, stats, sink)?;
                 }
-                Ok(())
             }
-            Plan::Filter { input, pred } => {
-                let mut rows = Vec::new();
-                self.eval(input, outer, stats, &mut rows)?;
-                out.extend(rows.into_iter().filter(|r| pred.matches(r)));
-                Ok(())
+            Op::Filter(input, pred) => {
+                self.run(input, outer, stats, &mut |r| {
+                    if pred.matches(r) {
+                        sink(r)
+                    }
+                })?;
             }
-            Plan::Project { input, cols } => {
-                let mut rows = Vec::new();
-                self.eval(input, outer, stats, &mut rows)?;
-                out.extend(rows.into_iter().map(|r| cols.iter().map(|&c| r[c]).collect::<Row>()));
-                Ok(())
+            Op::Project(input, cols) => {
+                let mut row = Vec::with_capacity(cols.len());
+                self.run(input, outer, stats, &mut |r| {
+                    row.clear();
+                    row.extend(cols.iter().map(|&c| r[c]));
+                    sink(&row);
+                })?;
             }
-            Plan::TableScan { table } => {
-                let heap = self.heaps.get(table).expect("prepare() opened every heap");
-                for (_, row) in heap.scan()? {
+            Op::TableScan(heap) => {
+                for (_, row) in self.heaps[*heap].1.scan()? {
                     stats.rows_examined += 1;
-                    out.push(row);
+                    sink(&row);
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 }
 
 impl Database {
-    /// Executes a physical plan, accumulating counters into `stats`.
+    /// Executes a physical plan, handing each result row to `sink` as it
+    /// is produced (the slice is only valid during the call), and
+    /// accumulates counters into `stats`.  The plan's indexes and heaps
+    /// are opened once, before the first row.
+    pub fn execute_with(
+        &self,
+        plan: &Plan,
+        stats: &mut ExecStats,
+        mut sink: impl FnMut(&[i64]),
+    ) -> Result<()> {
+        let mut exec = Exec { trees: Vec::new(), heaps: Vec::new() };
+        let op = exec.bind(self, plan)?;
+        let mut rows = 0u64;
+        exec.run(&op, None, stats, &mut |r| {
+            rows += 1;
+            sink(r);
+        })?;
+        stats.result_rows += rows;
+        Ok(())
+    }
+
+    /// Executes a physical plan and collects its rows, accumulating
+    /// counters into `stats`.
     pub fn execute(&self, plan: &Plan, stats: &mut ExecStats) -> Result<Vec<Row>> {
-        let mut ctx = ExecCtx { db: self, trees: HashMap::new(), heaps: HashMap::new() };
-        ctx.prepare(plan)?;
         let mut out = Vec::new();
-        ctx.eval(plan, None, stats, &mut out)?;
-        stats.result_rows += out.len() as u64;
+        self.execute_with(plan, stats, |r| out.push(r.to_vec()))?;
         Ok(out)
     }
 }
@@ -435,10 +499,10 @@ mod tests {
             Predicate::CmpConst { col: 0, op: CmpOp::Eq, value: 1 },
             Predicate::CmpConst { col: 0, op: CmpOp::Eq, value: 2 },
         ]);
-        assert!(p.matches(&vec![1]));
-        assert!(p.matches(&vec![2]));
-        assert!(!p.matches(&vec![3]));
-        assert!(Predicate::True.matches(&vec![]));
+        assert!(p.matches(&[1]));
+        assert!(p.matches(&[2]));
+        assert!(!p.matches(&[3]));
+        assert!(Predicate::True.matches(&[]));
     }
 
     #[test]

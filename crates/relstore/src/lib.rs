@@ -13,7 +13,7 @@
 //! * [`heap::Heap`] — fixed-width row storage with stable row ids;
 //! * [`table::Table`] — DML that maintains all secondary indexes, the
 //!   equivalent of Figure 5's single `INSERT` statement;
-//! * [`exec`] — a pull-based physical algebra: `COLLECTION ITERATOR` over
+//! * [`exec`] — a push-based physical algebra: `COLLECTION ITERATOR` over
 //!   transient tables, `INDEX RANGE SCAN`, `NESTED LOOPS`, `UNION-ALL`,
 //!   `FILTER` and `TABLE ACCESS FULL`, which is sufficient to express every
 //!   query plan in the paper (RI-tree, Tile Index, IST, MAP21);
